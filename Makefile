@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build vet test race fmt-check bench difftest serve-test durable-test lint bench-smoke repair-test stream-test replica-test
+.PHONY: ci build vet test race fmt-check bench difftest serve-test durable-test lint bench-smoke repair-test stream-test replica-test examples
 
-ci: fmt-check lint build race difftest serve-test durable-test repair-test bench-smoke stream-test replica-test
+ci: fmt-check lint build race difftest serve-test durable-test repair-test bench-smoke stream-test replica-test examples
 
 # The static-analysis gate: go vet plus the repository's own analyzer
 # suite (immutable, errwrap, ctxloop, obssafe, cursorclose, and the CFG
@@ -90,6 +90,16 @@ replica-test:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Every runnable scenario under examples/, end to end: each main must
+# exit zero. Examples have no tests of their own, so this is what
+# catches one that no longer runs (for instance a load order that
+# violates a constraint).
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # The load-harness smoke: a fixed-seed lb-bench run against an
 # in-process server (deterministic op sequence, hot-key contention,

@@ -373,7 +373,7 @@ func benchRunTxns(b *testing.B, db *core.Database, txs []string, workers int, re
 				if err != nil {
 					panic(err)
 				}
-				for db.CommitIf("main", head, res.Workspace) != nil {
+				for db.CommitIf("main", head, res.Workspace, core.CommitRecord{Kind: "exec", Src: src}) != nil {
 					newHead, err := db.Workspace("main")
 					if err != nil {
 						panic(err)

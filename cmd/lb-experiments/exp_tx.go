@@ -124,7 +124,7 @@ func runTxSerial(db *core.Database, txs []string) *core.Workspace {
 		if err != nil {
 			panic(err)
 		}
-		if err := db.CommitIf("main", head, res.Workspace); err != nil {
+		if err := db.CommitIf("main", head, res.Workspace, core.CommitRecord{Kind: "exec", Src: src}); err != nil {
 			panic(err)
 		}
 	}
@@ -165,7 +165,7 @@ func runTxConcurrent(db *core.Database, txs []string, workers int, repair bool) 
 				if err != nil {
 					panic(err)
 				}
-				for db.CommitIf("main", head, res.Workspace) != nil {
+				for db.CommitIf("main", head, res.Workspace, core.CommitRecord{Kind: "exec", Src: src}) != nil {
 					atomic.AddInt64(&stats.conflicts, 1)
 					newHead, err := db.Workspace("main")
 					if err != nil {

@@ -43,14 +43,14 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Every load checks the constraints, so Product goes first: the
+	// per-product attributes are declared over it.
 	retail := workload.Generate(workload.Config{Products: 20, Stores: 1, Weeks: 1, Seed: 8})
-	for name, rel := range retail.Relations() {
-		switch name {
-		case "Product", "spacePerProd", "profitPerProd", "minStock", "maxStock":
-			ws, err = ws.Load(name, rel.Slice())
-			if err != nil {
-				log.Fatal(err)
-			}
+	rels := retail.Relations()
+	for _, name := range []string{"Product", "spacePerProd", "profitPerProd", "minStock", "maxStock"} {
+		ws, err = ws.Load(name, rels[name].Slice())
+		if err != nil {
+			log.Fatal(err)
 		}
 	}
 	ws, err = ws.Load("maxShelf", []logicblox.Tuple{{logicblox.Float(60)}})

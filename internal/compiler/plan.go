@@ -156,8 +156,8 @@ type ConstraintPlan struct {
 	Body      *RulePlan
 	HeadAtoms []GroundAtom
 	// HeadNegAtoms records negated head atoms structurally (in addition
-	// to the "!exists" entry in HeadChecks), for consumers like the MLN
-	// grounding that need the atom's predicate and argument expressions.
+	// to the "!exists" entry in HeadChecks), so References can name the
+	// atom's predicate.
 	HeadNegAtoms []GroundAtom
 	HeadChecks   []FilterPlan
 	HeadTypes    []TypeCheck

@@ -93,10 +93,10 @@ func TestCommitIf(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := db.CommitIf(DefaultBranch, head, a.Workspace); err != nil {
+	if err := db.CommitIf(DefaultBranch, head, a.Workspace, CommitRecord{Kind: "exec", Src: `+p(1).`}); err != nil {
 		t.Fatalf("first commit: %v", err)
 	}
-	if err := db.CommitIf(DefaultBranch, head, b.Workspace); !errors.Is(err, ErrConflict) {
+	if err := db.CommitIf(DefaultBranch, head, b.Workspace, CommitRecord{Kind: "exec", Src: `+p(2).`}); !errors.Is(err, ErrConflict) {
 		t.Fatalf("second commit = %v, want ErrConflict", err)
 	}
 	// The loser re-executes against the new head (coarse repair) and wins.
@@ -105,14 +105,14 @@ func TestCommitIf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CommitIf(DefaultBranch, head2, b2.Workspace); err != nil {
+	if err := db.CommitIf(DefaultBranch, head2, b2.Workspace, CommitRecord{Kind: "exec", Src: `+p(2).`}); err != nil {
 		t.Fatalf("repaired commit: %v", err)
 	}
 	ws, _ := db.Workspace(DefaultBranch)
 	if ws.Relation("p").Len() != 2 {
 		t.Fatalf("p = %v", ws.Relation("p").Slice())
 	}
-	if err := db.CommitIf("nope", head2, b2.Workspace); !errors.Is(err, ErrNoSuchBranch) {
+	if err := db.CommitIf("nope", head2, b2.Workspace, CommitRecord{Kind: "exec", Src: `+p(2).`}); !errors.Is(err, ErrNoSuchBranch) {
 		t.Fatalf("unknown branch = %v", err)
 	}
 }

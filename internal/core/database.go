@@ -177,11 +177,19 @@ func (db *Database) DeleteBranch(name string) error {
 	return nil
 }
 
+// installLocked makes ws the head of branch and appends it to the
+// version history — the pointer swap every commit ends in. Callers hold
+// db.mu and have checked that branch exists.
+func (db *Database) installLocked(branch string, ws *Workspace) {
+	db.branches[branch] = ws
+	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
+}
+
 // Commit makes ws the new head of branch and records it in the history.
 // Conceptually just a pointer swap (paper T4). Commit bypasses the
 // commit hook — a workspace value carries no replayable request — so
-// embedders running with a durability journal must use
-// CommitIfRecorded (or Promote for pointer-swap merges) instead.
+// embedders running with a durability journal must use CommitIf (or
+// Promote for pointer-swap merges) instead.
 func (db *Database) Commit(branch string, ws *Workspace) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -189,8 +197,7 @@ func (db *Database) Commit(branch string, ws *Workspace) error {
 		return fmt.Errorf("unknown branch %s: %w", branch, ErrNoSuchBranch)
 	}
 	db.seq++
-	db.branches[branch] = ws
-	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
+	db.installLocked(branch, ws)
 	return nil
 }
 
@@ -211,43 +218,23 @@ func (db *Database) Promote(from, to string) error {
 	if err := db.logLocked(&CommitRecord{Kind: "promote", From: from, To: to}); err != nil {
 		return err
 	}
-	db.branches[to] = src
-	db.history = append(db.history, VersionEntry{Branch: to, Workspace: src})
+	db.installLocked(to, src)
 	return nil
 }
 
 // CommitIf is the optimistic-concurrency commit (paper §3.4's snapshot
-// model without the fine-grained repair): it makes ws the new head of
-// branch only if the head is still parent — the snapshot the transaction
-// executed against. If another transaction committed in between, it
-// returns ErrConflict and the caller re-executes against the new head
-// (coarse-grained repair) or surfaces the conflict. The compare-and-swap
-// and the history append are atomic under the database lock.
-func (db *Database) CommitIf(branch string, parent, ws *Workspace) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	head, ok := db.branches[branch]
-	if !ok {
-		return fmt.Errorf("unknown branch %s: %w", branch, ErrNoSuchBranch)
-	}
-	if head != parent {
-		return fmt.Errorf("branch %s moved since snapshot: %w", branch, ErrConflict)
-	}
-	db.seq++
-	db.branches[branch] = ws
-	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
-	return nil
-}
-
-// CommitIfRecorded is CommitIf for callers running under a durability
-// journal: rec describes the request (kind, source, block name) that
-// produced ws, and — only if the compare-and-swap would succeed — is
-// passed to the commit hook before the head moves. A hook failure
-// rejects the commit with ErrDurability and leaves the branch untouched:
-// the journal is strictly write-ahead of the in-memory state, so an
-// acknowledged commit is always recoverable. rec.Branch and rec.Seq are
-// filled in here.
-func (db *Database) CommitIfRecorded(branch string, parent, ws *Workspace, rec CommitRecord) error {
+// model): it makes ws the new head of branch only if the head is still
+// parent — the snapshot the transaction executed against. If another
+// transaction committed in between, it returns ErrConflict and the
+// caller repairs or re-executes against the new head, or surfaces the
+// conflict. rec describes the request (kind, source, block name) that
+// produced ws; rec.Branch and rec.Seq are filled in here. Only if the
+// compare-and-swap succeeds is rec passed to the commit hook, before the
+// head moves: a hook failure rejects the commit with ErrDurability and
+// leaves the branch untouched, so under a durability journal an
+// acknowledged commit is always recoverable. The check, the hook and the
+// history append are atomic under the database lock.
+func (db *Database) CommitIf(branch string, parent, ws *Workspace, rec CommitRecord) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	head, ok := db.branches[branch]
@@ -261,8 +248,7 @@ func (db *Database) CommitIfRecorded(branch string, parent, ws *Workspace, rec C
 	if err := db.logLocked(&rec); err != nil {
 		return err
 	}
-	db.branches[branch] = ws
-	db.history = append(db.history, VersionEntry{Branch: branch, Workspace: ws})
+	db.installLocked(branch, ws)
 	return nil
 }
 
@@ -274,24 +260,11 @@ func (db *Database) CommitIfRecorded(branch string, parent, ws *Workspace, rec C
 // is pinned to rec.Seq so post-recovery commits continue the journal's
 // numbering.
 func (db *Database) ApplyRecord(rec CommitRecord) error {
+	var next *Workspace
 	var err error
 	switch rec.Kind {
-	case "exec":
-		var ws *Workspace
-		if ws, err = db.Workspace(rec.Branch); err == nil {
-			var res *ExecResult
-			if res, err = ws.Exec(rec.Src); err == nil {
-				err = db.Commit(rec.Branch, res.Workspace)
-			}
-		}
-	case "addblock":
-		var ws *Workspace
-		if ws, err = db.Workspace(rec.Branch); err == nil {
-			var next *Workspace
-			if next, err = ws.AddBlock(rec.Name, rec.Src); err == nil {
-				err = db.Commit(rec.Branch, next)
-			}
-		}
+	case "exec", "addblock":
+		next, err = db.replayTxn(rec)
 	case "branch":
 		err = db.Branch(rec.From, rec.To)
 	case "branchat":
@@ -307,9 +280,28 @@ func (db *Database) ApplyRecord(rec CommitRecord) error {
 		return fmt.Errorf("replay seq %d (%s): %w", rec.Seq, rec.Kind, err)
 	}
 	db.mu.Lock()
+	defer db.mu.Unlock()
+	if next != nil {
+		db.installLocked(rec.Branch, next)
+	}
 	db.seq = rec.Seq
-	db.mu.Unlock()
 	return nil
+}
+
+// replayTxn re-runs a journaled exec or addblock on its branch's head.
+func (db *Database) replayTxn(rec CommitRecord) (*Workspace, error) {
+	ws, err := db.Workspace(rec.Branch)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Kind == "addblock" {
+		return ws.AddBlock(rec.Name, rec.Src)
+	}
+	res, err := ws.Exec(rec.Src)
+	if err != nil {
+		return nil, err
+	}
+	return res.Workspace, nil
 }
 
 // Branches lists branch names.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"logicblox/internal/obs"
 	"logicblox/internal/relation"
+	"logicblox/internal/tuple"
 )
 
 // TestTransactionSpansAndCounters drives a workspace through addblock,
@@ -81,6 +83,55 @@ func TestTransactionSpansAndCounters(t *testing.T) {
 	tree := obs.FormatSpanTree(*exec)
 	if !strings.Contains(tree, "rederive") || !strings.Contains(tree, "base_ins=2") {
 		t.Fatalf("span tree missing expected content:\n%s", tree)
+	}
+}
+
+// TestWritePathSpans pins the phase spans of the other write paths:
+// addblock, repair replay and the parse-free Insert all end in settle,
+// whose rederive and constraints spans are direct children of the
+// transaction span (per-layer latency breakdowns key on these names).
+func TestWritePathSpans(t *testing.T) {
+	reg := obs.NewRegistry()
+	ws, err := NewWorkspace().WithObserver(reg).AddBlock("b", `v(x) <- a(x), c(x).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := ws.ExecRecorded(`+a(1).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := ws.Exec(`+c(2).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rec.Repair(context.Background(), win.Workspace); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := win.Workspace.Insert("c", tuple.Ints(3)); err != nil {
+		t.Fatal(err)
+	}
+	last := map[string]obs.SpanSnapshot{}
+	for _, tr := range reg.Snapshot().Traces {
+		last[tr.Name] = tr // the final tx.exec is the Insert
+	}
+	for name, phases := range map[string][]string{
+		"tx.addblock": {"compile", "analyze", "rederive", "constraints"},
+		"tx.repair":   {"eval.reactive", "frame", "rederive", "constraints"},
+		"tx.exec":     {"frame", "rederive", "constraints"},
+	} {
+		tr, ok := last[name]
+		if !ok {
+			t.Fatalf("no %s trace", name)
+		}
+		got := map[string]bool{}
+		for _, c := range tr.Children {
+			got[c.Name] = true
+		}
+		for _, p := range phases {
+			if !got[p] {
+				t.Errorf("%s missing phase %q: %v", name, p, got)
+			}
+		}
 	}
 }
 

@@ -157,14 +157,7 @@ func RestoreWorkspace(blocks map[string]string, base map[string][]tuple.Tuple, a
 	for _, name := range compiled.IDBPreds {
 		dirty[name] = true
 	}
-	out, err := ws.rederive(context.Background(), dirty, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.checkConstraints(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ws.settle(context.Background(), dirty, nil)
 }
 
 // Save writes a snapshot of every branch head.

@@ -82,15 +82,8 @@ func (ws *Workspace) ExecRecorded(src string) (*ExecResult, *ExecRecord, error) 
 
 // ExecRecordedCtx is ExecRecorded bounded by a context (see ExecCtx).
 func (ws *Workspace) ExecRecordedCtx(rctx context.Context, src string) (*ExecResult, *ExecRecord, error) {
-	sp, done := ws.txSpan(rctx, "exec")
 	rec := &ExecRecord{snapshot: ws, src: src}
-	run, err := ws.execReactive(rctx, src, sp, rec)
-	if err != nil {
-		done(err)
-		return nil, nil, err
-	}
-	res, err := ws.applyReactive(rctx, run, sp)
-	done(err)
+	res, err := ws.exec(rctx, src, rec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -114,17 +114,7 @@ func (ws *Workspace) reinstallTraced(rctx context.Context, name, src string, par
 	// an affected predicate, so the adaptive optimizer re-samples against
 	// the new logic instead of trusting stale orders.
 	out.plans.InvalidatePreds(dirty)
-	out, err = out.rederive(rctx, dirty, sp)
-	if err != nil {
-		return nil, err
-	}
-	ksp := sp.Child("constraints")
-	err = out.checkConstraints()
-	ksp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out.settle(rctx, dirty, sp)
 }
 
 // ExecResult reports what an exec transaction changed.
@@ -160,18 +150,21 @@ func (ws *Workspace) Exec(src string) (*ExecResult, error) {
 // or fixpoint-round boundary, and the transaction aborts with ctx.Err()
 // wrapped (the receiver workspace is untouched, as for any abort).
 func (ws *Workspace) ExecCtx(rctx context.Context, src string) (*ExecResult, error) {
-	sp, done := ws.txSpan(rctx, "exec")
-	res, err := ws.exec(rctx, src, sp)
-	done(err)
-	return res, err
+	return ws.exec(rctx, src, nil)
 }
 
-func (ws *Workspace) exec(rctx context.Context, src string, sp *obs.Span) (*ExecResult, error) {
-	run, err := ws.execReactive(rctx, src, sp, nil)
-	if err != nil {
-		return nil, err
+// exec is the body of ExecCtx and ExecRecordedCtx: the reactive phase
+// (recording into rec when it is non-nil), then the frame step and
+// settle, under one tx.exec span.
+func (ws *Workspace) exec(rctx context.Context, src string, rec *ExecRecord) (*ExecResult, error) {
+	sp, done := ws.txSpan(rctx, "exec")
+	run, err := ws.execReactive(rctx, src, sp, rec)
+	var res *ExecResult
+	if err == nil {
+		res, err = ws.applyReactive(rctx, run, sp)
 	}
-	return ws.applyReactive(rctx, run, sp)
+	done(err)
+	return res, err
 }
 
 // reactiveRun is the outcome of an exec transaction's reactive phase
@@ -266,10 +259,11 @@ func mergeDerived(dst, src map[string]relation.Relation) {
 // applyReactive finishes an exec transaction against the receiver: it
 // expands ^R upserts, applies the frame rules R := (R@start − (-R)) ∪ (+R),
 // merges plain-headed reactive derivations into their head predicates,
-// re-derives affected views and checks integrity constraints. run's
-// context must have been seeded from the receiver (its @start relations
-// are the receiver's contents) — either by execReactive on this
-// workspace, or by ExecRecord replay onto a new head.
+// then settles (re-derives affected views and checks integrity
+// constraints). run's context must have been seeded from the receiver
+// (its @start relations are the receiver's contents) — either by
+// execReactive on this workspace, or by ExecRecord replay onto a new
+// head.
 func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *obs.Span) (*ExecResult, error) {
 	combined, ctx := run.combined, run.ctx
 	fsp := sp.Child("frame")
@@ -297,9 +291,7 @@ func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *o
 	}
 
 	// Apply frame rules to every predicate with a non-empty delta.
-	out := ws.clone()
-	deltas := map[string]ExecDelta{}
-	dirty := map[string]bool{}
+	f := ws.newFrame()
 	for p, info := range combined.Preds {
 		plus := ctx.Relation(compiler.DecorPlus + p)
 		minus := ctx.Relation(compiler.DecorMinus + p)
@@ -307,20 +299,10 @@ func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *o
 			continue
 		}
 		if !info.EDB {
-			return nil, fmt.Errorf("exec: %w: cannot modify derived predicate %s", ErrTypecheck, p)
+			fsp.End()
+			return nil, errDerivedWrite(p)
 		}
-		start := ctx.Relation(p + compiler.DecorAtStart)
-		next := start.Difference(minus).Union(plus)
-		if next.Equal(start) {
-			continue
-		}
-		var d ExecDelta
-		start.Diff(next,
-			func(t tuple.Tuple) { d.Del = append(d.Del, t) },
-			func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
-		deltas[p] = d
-		out.base = out.base.Set(p, next)
-		dirty[p] = true
+		f.apply(p, ctx.Relation(p+compiler.DecorAtStart), plus, minus)
 	}
 
 	// Plain-headed reactive rules (e.g. audit logs fed by +R) insert their
@@ -337,100 +319,111 @@ func (ws *Workspace) applyReactive(rctx context.Context, run *reactiveRun, sp *o
 				continue
 			}
 			seen[head] = true
-			derivedRel, ok := run.derived[head]
-			if !ok || derivedRel.IsEmpty() {
-				continue
-			}
-			cur := out.relationOr(head, derivedRel.Arity())
-			merged := cur.Union(derivedRel)
-			if !merged.Equal(cur) {
-				var d ExecDelta
-				cur.Diff(merged, func(tuple.Tuple) {}, func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
-				prev := deltas[head]
-				prev.Ins = append(prev.Ins, d.Ins...)
-				deltas[head] = prev
-				out.base = out.base.Set(head, merged)
-				dirty[head] = true
+			if derivedRel, ok := run.derived[head]; ok && !derivedRel.IsEmpty() {
+				f.apply(head, f.out.relationOr(head, derivedRel.Arity()), derivedRel, relation.New(derivedRel.Arity()))
 			}
 		}
 	}
-
 	fsp.End()
+	return f.settle(rctx, sp)
+}
+
+// frame is the base side of one write transaction: a clone of the
+// receiver whose base predicates the frame rules update, with the
+// per-predicate deltas and the dirty set settle starts from.
+type frame struct {
+	parent, out *Workspace
+	deltas      map[string]ExecDelta
+	dirty       map[string]bool
+}
+
+func (ws *Workspace) newFrame() *frame {
+	return &frame{parent: ws, out: ws.clone(), deltas: map[string]ExecDelta{}, dirty: map[string]bool{}}
+}
+
+// apply is the per-predicate frame rule R := (start − minus) ∪ plus for
+// base predicate p. A change is stored, appended to p's delta and marks
+// p dirty; a write that leaves R as it was is dropped.
+func (f *frame) apply(p string, start, plus, minus relation.Relation) {
+	next := start.Difference(minus).Union(plus)
+	if next.Equal(start) {
+		return
+	}
+	d := f.deltas[p]
+	start.Diff(next,
+		func(t tuple.Tuple) { d.Del = append(d.Del, t) },
+		func(t tuple.Tuple) { d.Ins = append(d.Ins, t) })
+	f.deltas[p] = d
+	f.out.base = f.out.base.Set(p, next)
+	f.dirty[p] = true
+}
+
+// settle records the frame's delta sizes on sp and settles the changed
+// workspace. A frame that changed nothing yields the parent itself.
+func (f *frame) settle(rctx context.Context, sp *obs.Span) (*ExecResult, error) {
 	var ins, del int64
-	for _, d := range deltas {
+	for _, d := range f.deltas {
 		ins += int64(len(d.Ins))
 		del += int64(len(d.Del))
 	}
 	sp.SetAttr("base_ins", ins)
 	sp.SetAttr("base_del", del)
+	if len(f.dirty) == 0 {
+		return &ExecResult{Workspace: f.parent, BaseDeltas: f.deltas}, nil
+	}
+	res, err := f.out.settle(rctx, f.dirty, sp)
+	if err != nil {
+		return nil, err
+	}
+	return &ExecResult{Workspace: res, BaseDeltas: f.deltas}, nil
+}
 
-	if len(dirty) == 0 {
-		return &ExecResult{Workspace: ws, BaseDeltas: deltas}, nil
-	}
-	res, err := out.rederive(rctx, dirty, sp)
-	if err != nil {
-		return nil, err
-	}
-	ksp := sp.Child("constraints")
-	err = res.checkConstraints()
-	ksp.End()
-	if err != nil {
-		return nil, err
-	}
-	return &ExecResult{Workspace: res, BaseDeltas: deltas}, nil
+func errDerivedWrite(p string) error {
+	return fmt.Errorf("exec: %w: cannot modify derived predicate %s", ErrTypecheck, p)
 }
 
 // Insert is a convenience exec: it inserts tuples into a base predicate
-// directly, bypassing parsing (heavy transactional workloads use this
-// path; it is equivalent to an exec of +pred facts).
+// directly, bypassing parsing and reactive evaluation. It runs the same
+// frame step and settle as an exec of the corresponding +pred facts, so
+// views are re-derived and integrity constraints checked. Heavy
+// transactional workloads use this path.
 func (ws *Workspace) Insert(pred string, tuples ...tuple.Tuple) (*Workspace, error) {
-	return ws.applyDirect(pred, tuples, nil)
+	return ws.write(pred, tuples, nil)
 }
 
-// Delete is the deletion counterpart of Insert.
+// Delete is the deletion counterpart of Insert (an exec of -pred facts).
 func (ws *Workspace) Delete(pred string, tuples ...tuple.Tuple) (*Workspace, error) {
-	return ws.applyDirect(pred, nil, tuples)
+	return ws.write(pred, nil, tuples)
 }
 
-func (ws *Workspace) applyDirect(pred string, ins, del []tuple.Tuple) (*Workspace, error) {
-	sp, done := ws.txSpan(context.Background(), "exec")
-	sp.SetAttr("base_ins", int64(len(ins)))
-	sp.SetAttr("base_del", int64(len(del)))
-	out, err := ws.applyDirectTraced(pred, ins, del, sp)
-	done(err)
-	return out, err
-}
-
-func (ws *Workspace) applyDirectTraced(pred string, ins, del []tuple.Tuple, sp *obs.Span) (*Workspace, error) {
-	info, ok := ws.prog.Preds[pred]
-	if ok && !info.EDB {
-		return nil, fmt.Errorf("cannot modify derived predicate %s", pred)
+// write is the parse-free base write behind Insert, Delete and Load: a
+// one-predicate frame step and settle under a tx.exec span. A predicate
+// the logic does not mention takes the tuples' arity (data-first live
+// programming, as for exec).
+func (ws *Workspace) write(pred string, ins, del []tuple.Tuple) (_ *Workspace, err error) {
+	rctx := context.Background()
+	sp, done := ws.txSpan(rctx, "exec")
+	defer func() { done(err) }()
+	info, known := ws.prog.Preds[pred]
+	arity := 0
+	switch {
+	case known && !info.EDB:
+		return nil, errDerivedWrite(pred)
+	case known:
+		arity = info.Arity
+	case len(ins) > 0:
+		arity = len(ins[0])
+	case len(del) > 0:
+		arity = len(del[0])
 	}
-	cur := ws.Relation(pred)
-	if !ok && len(ins) > 0 {
-		cur = relation.New(len(ins[0]))
-	}
-	next := cur
-	for _, t := range del {
-		next = next.Delete(t)
-	}
-	for _, t := range ins {
-		next = next.Insert(t)
-	}
-	if next.Equal(cur) {
-		return ws, nil
-	}
-	out := ws.clone()
-	out.base = out.base.Set(pred, next)
-	res, err := out.rederive(context.Background(), map[string]bool{pred: true}, sp)
+	fsp := sp.Child("frame")
+	f := ws.newFrame()
+	start := ws.relationOr(pred, arity)
+	f.apply(pred, start, relation.FromTuples(start.Arity(), ins), relation.FromTuples(start.Arity(), del))
+	fsp.End()
+	res, err := f.settle(rctx, sp)
 	if err != nil {
 		return nil, err
 	}
-	ksp := sp.Child("constraints")
-	err = res.checkConstraints()
-	ksp.End()
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res.Workspace, nil
 }

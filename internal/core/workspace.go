@@ -248,19 +248,15 @@ func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, paren
 				continue
 			}
 			evals += int64(len(stratum))
-			origin := map[string]relation.Relation{}
 			for h := range heads {
-				origin[h] = out.Relation(h)
-				ctx.Set(h, relation.New(origin[h].Arity()))
+				ctx.Set(h, relation.New(out.prog.Preds[h].Arity))
 			}
 			if err := ctx.EvalStratum(stratum); err != nil {
 				return nil, err
 			}
 			for h := range heads {
-				cur := ctx.Relation(h)
-				out.ruleRes = out.ruleRes.Set(stratumKey(h), cur)
-				out.derived = out.derived.Set(h, cur)
-				if !cur.Equal(origin[h]) {
+				cur, _ := publish(&out.ruleRes, stratumKey(h), ctx.Relation(h))
+				if publishView(out, ctx, h, cur) {
 					changed[h] = true
 				}
 			}
@@ -279,10 +275,9 @@ func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, paren
 			if err != nil {
 				return nil, err
 			}
-			if prev, ok := out.ruleRes.Get(key); !ok || !prev.Equal(res) {
+			if _, moved := publish(&out.ruleRes, key, res); moved {
 				headTouched[r.HeadName] = true
 			}
-			out.ruleRes = out.ruleRes.Set(key, res)
 		}
 		for h := range headTouched {
 			rel := relation.New(out.prog.Preds[h].Arity)
@@ -294,15 +289,57 @@ func (ws *Workspace) rederive(rctx context.Context, dirty map[string]bool, paren
 					rel = rel.Union(rr)
 				}
 			}
-			prev := out.Relation(h)
-			out.derived = out.derived.Set(h, rel)
-			ctx.Set(h, rel)
-			if !rel.Equal(prev) {
+			if publishView(out, ctx, h, rel) {
 				changed[h] = true
 			}
 		}
 		// Unchanged heads of this stratum still need their contexts seeded
 		// for later strata; ctx already holds them from relations().
+	}
+	return out, nil
+}
+
+// publish is rederive's one store rule: it puts rel under key in *m
+// unless *m already holds a relation Equal to it, in which case the
+// stored value stays. A view a transaction re-evaluated but did not
+// change is therefore shared with the parent version instead of being
+// retained as a private copy by every version in the history. It
+// returns the value now stored and whether it differs from the old one.
+func publish(m *pmap.Map[relation.Relation], key string, rel relation.Relation) (relation.Relation, bool) {
+	if prev, ok := m.Get(key); ok && prev.Equal(rel) {
+		return prev, false
+	}
+	*m = m.Set(key, rel)
+	return rel, true
+}
+
+// publishView publishes derived predicate h's new contents and seeds the
+// evaluation context with the stored value for later strata. It reports
+// whether h changed; a head that had no stored contents counts as
+// changed only when it is non-empty.
+func publishView(out *Workspace, ctx *engine.Context, h string, rel relation.Relation) bool {
+	_, had := out.derived.Get(h)
+	stored, moved := publish(&out.derived, h, rel)
+	ctx.Set(h, stored)
+	return moved && (had || !rel.IsEmpty())
+}
+
+// settle is the one tail of every change to base data or logic: it
+// re-derives the views the dirty names reach, then checks integrity
+// constraints on the result. Exec, repair replay, Insert/Delete/Load,
+// addblock/removeblock and snapshot restore all end here; only Solve
+// calls rederive alone (see its doc). "rederive" and "constraints" are
+// direct child spans of sp.
+func (ws *Workspace) settle(rctx context.Context, dirty map[string]bool, sp *obs.Span) (*Workspace, error) {
+	out, err := ws.rederive(rctx, dirty, sp)
+	if err != nil {
+		return nil, err
+	}
+	ksp := sp.Child("constraints")
+	err = out.checkConstraints()
+	ksp.End()
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -388,31 +425,13 @@ func (ws *Workspace) QueryCtx(rctx context.Context, src string) ([]tuple.Tuple, 
 	return out, nil
 }
 
-// Load is a convenience for seeding base predicates in bulk (outside the
-// reactive-rule machinery). It validates constraints after loading.
+// Load seeds a base predicate in bulk, bypassing parsing and reactive
+// evaluation. It is Insert under the bulk-loading name: one frame step,
+// then the views it reaches are re-derived and integrity constraints
+// checked, so a load that violates a constraint aborts like any other
+// transaction. Loading several predicates a constraint relates must
+// follow the constraint's direction (load the referenced predicate
+// first).
 func (ws *Workspace) Load(name string, tuples []tuple.Tuple) (*Workspace, error) {
-	info, ok := ws.prog.Preds[name]
-	if ok && !info.EDB {
-		return nil, fmt.Errorf("cannot load derived predicate %s", name)
-	}
-	arity := 0
-	if ok {
-		arity = info.Arity
-	} else if len(tuples) > 0 {
-		arity = len(tuples[0])
-	}
-	rel, has := ws.base.Get(name)
-	if !has {
-		rel = relation.New(arity)
-	}
-	for _, t := range tuples {
-		rel = rel.Insert(t)
-	}
-	out := ws.clone()
-	out.base = out.base.Set(name, rel)
-	res, err := out.rederive(context.Background(), map[string]bool{name: true}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ws.write(name, tuples, nil)
 }

@@ -54,7 +54,7 @@ func runCrashWorkload(fs *faultfs.FS) workloadResult {
 	const blockSrc = `q(x, y) <- p(x), p(y), x < y.`
 	next, err := ws.AddBlock("views", blockSrc)
 	if err == nil {
-		if db.CommitIfRecorded(core.DefaultBranch, ws, next, core.CommitRecord{Kind: "addblock", Name: "views", Src: blockSrc}) == nil {
+		if db.CommitIf(core.DefaultBranch, ws, next, core.CommitRecord{Kind: "addblock", Name: "views", Src: blockSrc}) == nil {
 			res.ackedBlock = true
 		}
 	}

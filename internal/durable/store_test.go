@@ -28,7 +28,7 @@ func commitValue(db *core.Database, v int) error {
 	if err != nil {
 		return err
 	}
-	return db.CommitIfRecorded(core.DefaultBranch, ws, res.Workspace, core.CommitRecord{Kind: "exec", Src: src})
+	return db.CommitIf(core.DefaultBranch, ws, res.Workspace, core.CommitRecord{Kind: "exec", Src: src})
 }
 
 func TestStoreRoundtrip(t *testing.T) {

@@ -98,8 +98,9 @@ type Config struct {
 	Obs *obs.Registry
 	// Durable, when set, is the durability subsystem the served database
 	// commits through: every transaction is journaled write-ahead
-	// (Database.CommitIfRecorded) and /load re-anchors the store on the
-	// uploaded snapshot. nil serves purely in memory.
+	// (Database.CommitIf runs the store.LogCommit hook the embedder
+	// installs) and /load re-anchors the store on the uploaded snapshot.
+	// nil serves purely in memory.
 	Durable *durable.Store
 	// AccessLog receives one structured line per request (and slow-query
 	// entries above SlowQuery). nil disables request logging.
@@ -269,16 +270,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *Request) (*
 	return r, func() {}, true
 }
 
-// commitTxn commits ws over parent: journaled write-ahead
-// (CommitIfRecorded) when the server runs durable, plain CommitIf
-// otherwise. rec carries the request needed to replay the transaction.
-func (s *Server) commitTxn(branch string, parent, ws *core.Workspace, rec core.CommitRecord) error {
-	if s.cfg.Durable != nil {
-		return s.Database().CommitIfRecorded(branch, parent, ws, rec)
-	}
-	return s.Database().CommitIf(branch, parent, ws)
-}
-
 // handleExec runs an exec transaction through the optimistic-commit
 // loop: execute on the branch-head snapshot (recording read intervals
 // unless repair is disabled), CommitIf, and on a lost race first try to
@@ -318,7 +309,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, ExecResponse{OK: true, Branch: req.Branch, Version: version, Retries: retries, Repairs: repairs, Trace: s.inlineTrace(r)})
 			return
 		}
-		err = s.commitTxn(req.Branch, head, res.Workspace, core.CommitRecord{Kind: "exec", Src: req.Src})
+		err = s.Database().CommitIf(req.Branch, head, res.Workspace, core.CommitRecord{Kind: "exec", Src: req.Src})
 		if err == nil {
 			s.reg.Counter("server.commits").Inc()
 			writeJSON(w, http.StatusOK, ExecResponse{
@@ -412,7 +403,7 @@ func (s *Server) handleAddBlock(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, err)
 			return
 		}
-		err = s.commitTxn(req.Branch, head, next, core.CommitRecord{Kind: "addblock", Name: req.Name, Src: req.Src})
+		err = s.Database().CommitIf(req.Branch, head, next, core.CommitRecord{Kind: "addblock", Name: req.Name, Src: req.Src})
 		if err == nil {
 			s.reg.Counter("server.commits").Inc()
 			writeJSON(w, http.StatusOK, ExecResponse{OK: true, Branch: req.Branch, Version: next.Version(), Retries: retries, Trace: s.inlineTrace(r)})

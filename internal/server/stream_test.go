@@ -549,7 +549,7 @@ func TestStreamConstantMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CommitIf(core.DefaultBranch, head, loaded); err != nil {
+	if err := db.Commit(core.DefaultBranch, loaded); err != nil {
 		t.Fatal(err)
 	}
 	tuples = nil
